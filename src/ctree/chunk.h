@@ -355,7 +355,7 @@ struct RawCodec {
       if (!C)
         return;
       FirstBuf = C->First;
-      Data = reinterpret_cast<const AliasK *>(C->data());
+      Data = reinterpret_cast<const K *>(C->data());
       Count = C->Count;
       L = 1;
     }
@@ -428,13 +428,12 @@ struct RawCodec {
     }
 
   private:
-    // The payload bytes were written as raw element images; allow the
-    // typed view to alias them.
-    using AliasK = K __attribute__((may_alias));
-
     K FirstBuf{};
     K Prev{};
-    const AliasK *Data = nullptr;
+    // Typed view of the payload. Sound because raw payload bytes are only
+    // ever written by memcpy of whole K values (encode, encodeGap, chunk
+    // copies), never through a pointer to another type.
+    const K *Data = nullptr;
     size_t PrevOff = 0;
     uint32_t I = 0;
     uint32_t L = 0;

@@ -16,8 +16,8 @@
 // degree) slots: a full build is one write-once O(n)-work traversal, and
 // FlatSnapshotT::refresh derives the flat view of a successor snapshot in
 // O(touched + touched pages) work, sharing every untouched page with the
-// predecessor (copy-on-write). The versioned stores keep a hot-epoch flat
-// snapshot continuously maintained this way (acquireFlat()).
+// predecessor (copy-on-write). The store keeps a hot-epoch flat snapshot
+// continuously maintained this way (acquireFlat(), store/sharded_graph.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -257,24 +257,21 @@ public:
   /// path's mutable workspace, so grouping runs through combineSpan's
   /// borrowed scratch and makes no input-sized heap allocations.
   GraphSnapshotT insertEdges(std::vector<EdgePair> Edges) const {
-    return combineSpan(Edges.data(), Edges.size(), /*Insert=*/true,
-                       nullptr);
+    return combineSpan(Edges.data(), Edges.size(), /*Insert=*/true);
   }
 
   /// New snapshot with \p Edges removed. Vertices are kept even when their
   /// edge sets become empty (the paper makes singleton removal optional;
   /// see removeIsolatedVertices()). Unknown sources are ignored.
   GraphSnapshotT deleteEdges(std::vector<EdgePair> Edges) const {
-    return combineSpan(Edges.data(), Edges.size(), /*Insert=*/false,
-                       nullptr);
+    return combineSpan(Edges.data(), Edges.size(), /*Insert=*/false);
   }
 
   //===--------------------------------------------------------------------===
   // Batch routing helpers. The sharded store's shard merges group their
   // sub-batches themselves (counting sort over shard-local ids) and
-  // merge through insertGrouped/deleteGrouped; the versioned single
-  // store routes its writer batches through the span paths, which group
-  // through borrowed scratch so steady-state ingest allocates only the
+  // merge through insertGrouped/deleteGrouped; the span paths group
+  // through borrowed scratch so a caller-owned batch allocates only the
   // functional-tree structure itself.
   //===--------------------------------------------------------------------===
 
@@ -313,22 +310,13 @@ public:
   /// insertEdges over a caller-owned mutable span: sorts \p Edges in
   /// place and groups through borrowed scratch (no input-sized heap
   /// allocation; the new tree structure is the only durable allocation).
-  /// When \p TouchedOut is non-null it receives the batch's distinct
-  /// source ids in ascending order - the per-epoch touched-vertex digest
-  /// the versioned stores feed to FlatSnapshotT::refresh. The digest is
-  /// free to produce: the span path already groups the batch by source.
-  GraphSnapshotT
-  insertEdgesSpan(EdgePair *Edges, size_t K,
-                  std::vector<VertexId> *TouchedOut = nullptr) const {
-    return combineSpan(Edges, K, /*Insert=*/true, TouchedOut);
+  GraphSnapshotT insertEdgesSpan(EdgePair *Edges, size_t K) const {
+    return combineSpan(Edges, K, /*Insert=*/true);
   }
 
-  /// deleteEdges over a caller-owned mutable span (sorted in place);
-  /// \p TouchedOut as in insertEdgesSpan.
-  GraphSnapshotT
-  deleteEdgesSpan(EdgePair *Edges, size_t K,
-                  std::vector<VertexId> *TouchedOut = nullptr) const {
-    return combineSpan(Edges, K, /*Insert=*/false, TouchedOut);
+  /// deleteEdges over a caller-owned mutable span (sorted in place).
+  GraphSnapshotT deleteEdgesSpan(EdgePair *Edges, size_t K) const {
+    return combineSpan(Edges, K, /*Insert=*/false);
   }
 
   /// New snapshot containing the additional vertices (with empty edge
@@ -395,8 +383,7 @@ private:
   /// and per-source set building in borrowed scratch, then the grouped
   /// merge. Pairs storage is raw scratch; entries are placement-new'd and
   /// destroyed explicitly.
-  GraphSnapshotT combineSpan(EdgePair *Edges, size_t K, bool Insert,
-                             std::vector<VertexId> *TouchedOut) const {
+  GraphSnapshotT combineSpan(EdgePair *Edges, size_t K, bool Insert) const {
     if (K == 0)
       return *this;
     parallelSort(Edges, K);
@@ -425,13 +412,6 @@ private:
         Pairs->emplaceAt(G, Edges[Lo].first,
                          EdgeSet::buildSorted(DstP + Lo, Hi - Lo, Params));
       });
-      if (TouchedOut) {
-        TouchedOut->resize(Groups);
-        VertexId *T = TouchedOut->data();
-        parallelFor(0, Groups, [&](size_t G) {
-          T[G] = Pairs->data()[G].first;
-        });
-      }
     }
     return Insert ? insertGrouped(Pairs->data(), Pairs->size())
                   : deleteGrouped(Pairs->data(), Pairs->size());

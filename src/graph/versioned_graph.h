@@ -6,55 +6,26 @@
 // writer and always see a consistent snapshot, giving strict
 // serializability of queries with respect to update batches.
 //
-// The version-list mechanics (refcounted chain, pointer-swap install,
-// exact reclamation) live in the reusable store/version_list.h core;
-// this wrapper binds it to a single GraphSnapshotT and adds the writer
-// conveniences. The sharded store (store/sharded_graph.h) reuses the same
-// core with a cross-shard epoch as the versioned value. The deviation
-// from the paper's lock-free version list (Ben-David et al. [8]) is
-// documented in DESIGN.md Section 1.
-//
-// Hot-epoch flat snapshots: the batch conveniences record each epoch's
-// touched-vertex digest in a DeltaLogT, and acquireFlat() maintains one
-// cached FlatSnapshotT of the latest version, caught up epoch-to-epoch
-// with FlatSnapshotT::refresh (O(touched) page repair) and rebuilt in
-// full only when the replay span is uncovered or too large. Protocol and
-// threshold rationale in DESIGN.md Section 4.
+// This is the one-shard cut of the sharded store (store/sharded_graph.h):
+// the adapter owns a ShardedGraphStoreT with one shard and forwards every
+// call to it. A version is that store's epoch, its timestamp the epoch's
+// BatchSeq, and its graph the epoch's only shard; the hot flat snapshot,
+// durable open, WAL replay and checkpoints are the sharded store's own
+// (DESIGN.md Sections 1, 4 and 7).
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef ASPEN_GRAPH_VERSIONED_GRAPH_H
 #define ASPEN_GRAPH_VERSIONED_GRAPH_H
 
-#include "graph/graph.h"
-#include "store/durability.h"
-#include "store/version_list.h"
+#include "store/sharded_graph.h"
 
-#include <atomic>
-#include <cassert>
 #include <memory>
-#include <mutex>
 
 namespace aspen {
 
-/// Rebuild-vs-refresh counters of a store's hot flat snapshot (tests and
-/// benches assert which maintenance path served an acquireFlat()).
-struct FlatMaintenanceStats {
-  uint64_t Rebuilds = 0;  ///< full O(n) flat builds
-  uint64_t Refreshes = 0; ///< O(touched) incremental refreshes
-  uint64_t Hits = 0;      ///< served the cached flat unchanged
-};
-
-/// Shared tuning constants of the hot-flat maintenance path (both
-/// stores): refresh when the replayed digests touch at most
-/// universe / FlatRefreshDenominator distinct vertices, covering at most
-/// FlatReplayMaxEpochs epochs; anything else rebuilds. See DESIGN.md
-/// Section 4 for the crossover analysis.
-inline constexpr uint64_t FlatRefreshDenominator = 8;
-inline constexpr size_t FlatReplayMaxEpochs = 64;
-
 template <class EdgeSet> class VersionedGraphT {
-  using List = VersionListT<GraphSnapshotT<EdgeSet>>;
+  using Store = ShardedGraphStoreT<EdgeSet>;
 
 public:
   using Flat = FlatSnapshotT<EdgeSet>;
@@ -67,282 +38,84 @@ public:
     Version &operator=(Version &&) noexcept = default;
 
     /// The immutable snapshot this version refers to.
-    const GraphSnapshotT<EdgeSet> &graph() const { return H.value(); }
+    const GraphSnapshotT<EdgeSet> &graph() const { return R.shard(0); }
 
     /// Monotone timestamp of the version (batch sequence number).
-    uint64_t timestamp() const { return H.stamp(); }
+    uint64_t timestamp() const { return R.batchSeq(); }
 
-    bool valid() const { return H.valid(); }
+    bool valid() const { return R.valid(); }
 
     /// Explicit early release.
-    void reset() { H.reset(); }
+    void reset() { R.reset(); }
 
   private:
     friend class VersionedGraphT;
-    explicit Version(typename List::Handle H) : H(std::move(H)) {}
-    typename List::Handle H;
+    explicit Version(typename Store::Ref R) : R(std::move(R)) {}
+    typename Store::Ref R;
   };
 
   explicit VersionedGraphT(GraphSnapshotT<EdgeSet> Initial)
-      : Versions(std::move(Initial)), Digests(FlatReplayMaxEpochs) {}
+      : S(std::move(Initial)) {}
 
-  /// Durable open (opt-in; DESIGN.md Section 7): recover the newest
-  /// valid checkpoint from \p O.Dir, replay the WAL suffix through the
-  /// same batch paths that produced the original epochs, and log every
-  /// subsequent batch before acknowledging it. A fresh directory yields
-  /// an empty durable store under \p P. The single-writer contract of
-  /// this store extends to the durable form: batch sequence numbers are
-  /// derived from the install stamp.
+  /// Durable open (opt-in; DESIGN.md Section 7): the sharded store's
+  /// recovery at one shard. A directory whose checkpoint holds more than
+  /// one shard stream belongs to a sharded store and is refused.
   explicit VersionedGraphT(const DurabilityOptions &O,
                            typename EdgeSet::BuildParams P = {})
-      : Versions(GraphSnapshotT<EdgeSet>(P)), Digests(FlatReplayMaxEpochs),
-        Durable(std::make_unique<DurabilityEngine>(O)) {
-    const RecoveredState &R = Durable->recovered();
-    if (R.Ckpt) {
-      if (R.Ckpt->ShardStreams.size() != 1)
-        throw CorruptCheckpoint("versioned store expects one shard stream");
-      ByteReader Rd(R.Ckpt->ShardStreams[0].data(),
-                    R.Ckpt->ShardStreams[0].size());
-      Versions.set(deserializeSnapshot<EdgeSet>(Rd, P));
-      if (Durable->options().PrimeFlatOnRecover) {
-        // Build the hot flat from the checkpoint *before* replay: the
-        // replayed batches record digests, so the first user
-        // acquireFlat() catches up O(touched) instead of rebuilding.
-        auto H = Versions.acquire();
-        auto Primed = std::make_shared<StampedFlat>();
-        Primed->F = Flat(H.value());
-        Primed->Stamp = H.stamp();
-        CachedFlat = std::move(Primed); // ctor: no concurrent readers yet
-        ++Stats.Rebuilds;
-      }
-    }
-    for (const WalReplayRecord &RR : R.Replay) {
-      std::vector<EdgePair> Edges = RR.Edges; // span paths sort in place
-      GraphSnapshotT<EdgeSet> Next = currentCopy();
-      std::vector<VertexId> Touched;
-      auto G = RR.Kind == WalKind::InsertBatch
-                   ? Next.insertEdgesSpan(Edges.data(), Edges.size(),
-                                          &Touched)
-                   : Next.deleteEdgesSpan(Edges.data(), Edges.size(),
-                                          &Touched);
-      installWithDigest(std::move(G), std::move(Touched));
-    }
-    DurableSeqBase = R.MaxSeq - Versions.currentStamp();
-    Durable->dropRecoveredPayload();
+      : S(O, /*NumShards=*/1, /*N=*/0, P) {
+    if (S.numShards() != 1)
+      throw CorruptCheckpoint("versioned store expects one shard stream");
   }
-
-  VersionedGraphT(const VersionedGraphT &) = delete;
-  VersionedGraphT &operator=(const VersionedGraphT &) = delete;
 
   /// Acquire the latest version. Never blocked by the writer for more than
   /// the duration of a pointer swap.
-  Version acquire() { return Version(Versions.acquire()); }
+  Version acquire() { return Version(S.acquire()); }
 
   /// Install a new snapshot as the current version (single writer). Atomic
   /// with respect to acquire(); the previous version survives until its
-  /// last reader releases it. Installing through set() records no
-  /// touched digest, so the next acquireFlat() after a raw set() falls
-  /// back to a full rebuild (the batch conveniences keep the incremental
-  /// path alive).
-  void set(GraphSnapshotT<EdgeSet> G) { Versions.set(std::move(G)); }
+  /// last reader releases it. A raw set() records no touched digest, so
+  /// the next acquireFlat() rebuilds, and it has no WAL record, so a
+  /// durable store refuses it with std::logic_error.
+  void set(GraphSnapshotT<EdgeSet> G) { S.installSnapshot(std::move(G)); }
 
-  /// Writer convenience: functionally insert a batch and publish. The
-  /// owned batch routes through the span path (in-place sort, grouping
-  /// in borrowed scratch — no input-sized heap allocation at steady
-  /// state), which also yields the epoch's touched-vertex digest. On a
-  /// durable store the batch is WAL-logged before the in-place span
-  /// sort and group-committed before return: when this call returns,
-  /// the batch survives a crash.
-  void insertEdgesBatch(std::vector<EdgePair> Edges) {
-    applyOwnedBatch(std::move(Edges), /*Insert=*/true);
+  /// Writer convenience: functionally insert a batch and publish. On a
+  /// durable store the batch is WAL-logged and group-committed before
+  /// return: when this call returns, the batch survives a crash.
+  void insertEdgesBatch(const std::vector<EdgePair> &Edges) {
+    S.insertBatch(Edges);
   }
 
   /// Writer convenience: functionally delete a batch and publish.
-  void deleteEdgesBatch(std::vector<EdgePair> Edges) {
-    applyOwnedBatch(std::move(Edges), /*Insert=*/false);
+  void deleteEdgesBatch(const std::vector<EdgePair> &Edges) {
+    S.deleteBatch(Edges);
   }
 
   /// Sequence number of the latest installed version (diagnostic).
-  int64_t currentTimestamp() const {
-    return int64_t(Versions.currentStamp());
-  }
+  int64_t currentTimestamp() const { return int64_t(S.batchSeq()); }
 
-  /// Flat view of the latest version, O(1) vertex access. The store
-  /// keeps one hot flat snapshot: when the cached flat already matches
-  /// the latest stamp it is returned as-is; when the intervening epochs'
-  /// digests are on record and small, the cached flat is refreshed in
-  /// O(touched) page-repair work; otherwise a full parallel rebuild
-  /// runs. The returned snapshot is immutable and keeps its source
-  /// version alive; hold the shared_ptr for as long as the view is used.
-  /// Callers serialize on an internal mutex only for the catch-up work;
-  /// a reader of an unchanged epoch takes a lock-free fast path (one
-  /// atomic stamp load + one atomic shared_ptr load).
+  /// Flat view of the latest version, O(1) vertex access: the sharded
+  /// store's hot flat epoch, aliased to its only shard. Hold the
+  /// shared_ptr for as long as the view is used.
   std::shared_ptr<const Flat> acquireFlat() {
-    // Lock-free fast path: the stamp is read FIRST; if the cached entry
-    // then matches it, that flat rendered the version current at the
-    // instant of the stamp read (the cache never regresses, and a newer
-    // entry carries a larger stamp, failing the compare) — exactly the
-    // freshness the mutex path promises. The flat and its stamp live in
-    // one StampedFlat node behind a single atomic pointer, so the pair
-    // is read consistently without the mutex.
-    {
-      uint64_t S = Versions.currentStamp();
-      std::shared_ptr<const StampedFlat> Hot = std::atomic_load_explicit(
-          &CachedFlat, std::memory_order_acquire);
-      if (Hot && Hot->Stamp == S) {
-        FlatHitsV.fetch_add(1, std::memory_order_relaxed);
-        const Flat *FP = &Hot->F;
-        return {std::move(Hot), FP};
-      }
-    }
-
-    std::lock_guard<std::mutex> Lock(FlatM);
-    // Acquired under FlatM: every cache entry was built from a version
-    // acquired while holding this lock, so S >= Cached->Stamp always and
-    // the cache can never regress to an older version.
-    auto H = Versions.acquire();
-    uint64_t S = H.stamp();
-    std::shared_ptr<const StampedFlat> Cached =
-        std::atomic_load_explicit(&CachedFlat, std::memory_order_acquire);
-    if (Cached && Cached->Stamp == S) {
-      ++Stats.Hits;
-      const Flat *FP = &Cached->F;
-      return {std::move(Cached), FP};
-    }
-    std::shared_ptr<StampedFlat> New;
-    if (Cached) {
-      std::vector<VertexId> Touched;
-      bool Covered = Digests.replay(
-          Cached->Stamp, S, [&](const std::vector<VertexId> &D) {
-            Touched.insert(Touched.end(), D.begin(), D.end());
-          });
-      if (Covered) {
-        parallelSort(Touched);
-        Touched.erase(std::unique(Touched.begin(), Touched.end()),
-                      Touched.end());
-        VertexId U = H.value().vertexUniverse();
-        if (uint64_t(Touched.size()) * FlatRefreshDenominator <=
-            uint64_t(U)) {
-          New = std::make_shared<StampedFlat>();
-          New->F = Flat::refresh(Cached->F, H.value(), Touched.data(),
-                                 Touched.size());
-          ++Stats.Refreshes;
-        }
-      }
-    }
-    if (!New) {
-      New = std::make_shared<StampedFlat>();
-      New->F = Flat(H.value());
-      ++Stats.Rebuilds;
-    }
-    New->Stamp = S;
-    std::shared_ptr<const StampedFlat> Pub = std::move(New);
-    // Atomic publish pairs with the fast path's lock-free load.
-    std::atomic_store_explicit(&CachedFlat, Pub,
-                               std::memory_order_release);
-    const Flat *FP = &Pub->F;
-    return {std::move(Pub), FP};
+    std::shared_ptr<const typename Store::FlatEpoch> FE = S.acquireFlat();
+    const Flat *F = &FE->Flats[0];
+    return {std::move(FE), F};
   }
 
   /// Rebuild/refresh/hit counters of acquireFlat() (diagnostics, tests).
-  /// Hits counts both mutex-path and lock-free fast-path hits.
-  FlatMaintenanceStats flatStats() const {
-    std::lock_guard<std::mutex> Lock(FlatM);
-    FlatMaintenanceStats R = Stats;
-    R.Hits += FlatHitsV.load(std::memory_order_relaxed);
-    return R;
-  }
+  FlatMaintenanceStats flatStats() const { return S.flatStats(); }
 
   /// Durability engine of a durable store (nullptr on a memory-only
-  /// store). Diagnostics only — the store drives it internally.
-  const DurabilityEngine *durability() const { return Durable.get(); }
+  /// store).
+  const DurabilityEngine *durability() const { return S.durability(); }
+  DurabilityEngine *durability() { return S.durability(); }
 
-  /// Mutable engine access for the self-healing layer (scrubber,
-  /// replication drivers).
-  DurabilityEngine *durability() { return Durable.get(); }
-
-  /// Serialize the latest version as a durable checkpoint, rotate the
-  /// WAL, and drop the log prefix it covers. Durable stores only.
-  /// Returns the checkpointed batch sequence number.
-  uint64_t checkpointNow() {
-    assert(Durable && "checkpointNow on a memory-only store");
-    auto H = Versions.acquire();
-    std::vector<std::vector<uint8_t>> Streams(1);
-    serializeSnapshot(H.value(), Streams[0]);
-    uint64_t Seq = H.stamp() + DurableSeqBase;
-    Durable->checkpoint(Seq, /*LogShards=*/0, Streams);
-    return Seq;
-  }
+  /// Checkpoint the latest version (durable stores only); returns its
+  /// batch sequence number.
+  uint64_t checkpointNow() { return S.checkpointNow(); }
 
 private:
-  /// Snapshot (refcount copy) of the current version for the writer.
-  GraphSnapshotT<EdgeSet> currentCopy() {
-    auto H = Versions.acquire();
-    return H.value();
-  }
-
-  /// The shared batch pipeline: WAL append (durable stores; before the
-  /// span path's in-place sort consumes the buffer), functional merge,
-  /// install, group-commit ack, and the auto-checkpoint trigger.
-  void applyOwnedBatch(std::vector<EdgePair> Edges, bool Insert) {
-    DurabilityEngine::Ticket Tk;
-    if (Durable)
-      Tk = Durable->append(Insert ? WalKind::InsertBatch
-                                  : WalKind::DeleteBatch,
-                           Versions.currentStamp() + 1 + DurableSeqBase,
-                           Edges.data(), Edges.size());
-    GraphSnapshotT<EdgeSet> Next = currentCopy();
-    std::vector<VertexId> Touched;
-    auto G = Insert
-                 ? Next.insertEdgesSpan(Edges.data(), Edges.size(), &Touched)
-                 : Next.deleteEdgesSpan(Edges.data(), Edges.size(), &Touched);
-    installWithDigest(std::move(G), std::move(Touched));
-    if (Durable) {
-      Durable->sync(Tk); // acknowledged == durable
-      uint64_t Every = Durable->options().CheckpointEveryBatches;
-      if (Every && Versions.currentStamp() + DurableSeqBase >=
-                       Durable->lastCheckpointSeq() + Every)
-        checkpointNow();
-    }
-  }
-
-  /// Publish \p G and record its touched digest. A digest above the
-  /// refresh threshold is not worth retaining — any replay span
-  /// containing it is guaranteed to exceed the same threshold and
-  /// rebuild — so the log is cleared instead (skipping the pointless
-  /// replay+sort on the reader side).
-  void installWithDigest(GraphSnapshotT<EdgeSet> G,
-                         std::vector<VertexId> Touched) {
-    uint64_t Cap = uint64_t(G.vertexUniverse()) / FlatRefreshDenominator;
-    uint64_t S = Versions.set(std::move(G));
-    if (uint64_t(Touched.size()) <= Cap)
-      Digests.record(S, std::move(Touched));
-    else
-      Digests.clear();
-  }
-
-  List Versions;
-  DeltaLogT<std::vector<VertexId>> Digests;
-
-  // Durability (nullptr on a memory-only store). WAL batch sequence =
-  // install stamp + DurableSeqBase: version-list stamps restart at zero
-  // per process, the base re-anchors them to the recovered log position.
-  std::unique_ptr<DurabilityEngine> Durable;
-  uint64_t DurableSeqBase = 0;
-
-  /// The hot-flat cache entry: the flat and the stamp it renders travel
-  /// in one node behind a single atomic shared_ptr, so the lock-free
-  /// fast path reads a consistent (flat, stamp) pair. acquireFlat()
-  /// hands out aliasing shared_ptrs to F that keep the node alive.
-  struct StampedFlat {
-    Flat F;
-    uint64_t Stamp = 0;
-  };
-
-  mutable std::mutex FlatM;
-  std::shared_ptr<const StampedFlat> CachedFlat;
-  FlatMaintenanceStats Stats;
-  mutable std::atomic<uint64_t> FlatHitsV{0};
+  Store S;
 };
 
 using VersionedGraph = VersionedGraphT<CTreeSet<VertexId, DeltaByteCodec>>;

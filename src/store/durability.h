@@ -40,10 +40,10 @@
 // Recovery (performed in the constructor) = newest checkpoint head whose
 // base chain fully resolves (resolveCheckpointChain — every link
 // validates end-to-end), plus the contiguous run of WAL records with
-// sequence numbers above it, in order. The stores replay those records
-// through the same insertEdgesSpan/deleteEdgesSpan batch paths that
-// produced the original epochs — by chunk-boundary determinism (DESIGN.md
-// Section 2) the result is byte-identical to the uncrashed store.
+// sequence numbers above it, in order. The store replays those records
+// through the same batch pipeline that produced the original epochs — by
+// chunk-boundary determinism (DESIGN.md Section 2) the result is
+// byte-identical to the uncrashed store.
 //
 //===----------------------------------------------------------------------===//
 

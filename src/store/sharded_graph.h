@@ -3,8 +3,10 @@
 // A hash-partitioned, versioned graph store: vertices are partitioned
 // across S shards (S a power of two), each shard an independent
 // purely-functional GraphSnapshotT, and the published state is an *epoch*
-// — an immutable vector of per-shard snapshots installed through the same
-// refcounted version-list core the single-store VersionedGraphT uses.
+// — an immutable vector of per-shard snapshots installed through the
+// refcounted version-list core (store/version_list.h). At one shard it is
+// also the paper's single-snapshot store: graph/versioned_graph.h is a
+// forwarding adapter over a one-shard instance.
 // Readers acquire() an epoch and are guaranteed a cross-shard-consistent
 // cut: every epoch is the previous epoch plus exactly one complete batch,
 // so per-shard edge counts always sum to a batch boundary and no reader
@@ -17,11 +19,13 @@
 //      AlgoContext contract), and each shard's sub-span is grouped with
 //      a counting sort over *local* vertex ids (the hash partition
 //      compresses a shard's id space by S, so the counter array stays
-//      cache-resident — this is what makes grouping cheaper than the
-//      single store's comparison sort). Because the grouping depends
-//      only on the batch, not on the base epoch, this whole phase runs
-//      before any writer lock is taken: batch N+1's group/sort overlaps
-//      batch N's merge/install instead of serializing behind it.
+//      cache-resident — this is what makes grouping cheaper than
+//      GraphSnapshotT's span-path comparison sort; a batch far smaller
+//      than its id range sorts by comparison instead). Because the
+//      grouping depends only on the batch, not on the base epoch, this
+//      whole phase runs before any writer lock is taken: batch N+1's
+//      group/sort overlaps batch N's merge/install instead of serializing
+//      behind it.
 //   2. Merge: the touched shards' writer locks are taken in ascending
 //      order, then per-shard functional merges multiInsert the prepared
 //      groups in parallel — one writer per shard.
@@ -56,7 +60,6 @@
 #define ASPEN_STORE_SHARDED_GRAPH_H
 
 #include "graph/graph.h"
-#include "graph/versioned_graph.h" // FlatMaintenanceStats + flat tuning
 #include "store/durability.h"
 #include "store/version_list.h"
 
@@ -68,10 +71,27 @@
 #include <mutex>
 #include <new>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace aspen {
+
+/// Rebuild-vs-refresh counters of a store's hot flat snapshot (tests and
+/// benches assert which maintenance path served an acquireFlat()).
+struct FlatMaintenanceStats {
+  uint64_t Rebuilds = 0;  ///< full O(n) flat builds
+  uint64_t Refreshes = 0; ///< O(touched) incremental refreshes
+  uint64_t Hits = 0;      ///< served the cached flat unchanged
+};
+
+/// Tuning constants of the hot-flat maintenance path: refresh when the
+/// replayed digests touch at most universe / FlatRefreshDenominator
+/// distinct vertices, covering at most FlatReplayMaxEpochs epochs;
+/// anything else rebuilds. See DESIGN.md Section 4 for the crossover
+/// analysis.
+inline constexpr uint64_t FlatRefreshDenominator = 8;
+inline constexpr size_t FlatReplayMaxEpochs = 64;
 
 /// A borrowed, immutable view of one submitted batch's edges. Spans
 /// alias caller memory: the edges must stay alive until the apply (or
@@ -144,6 +164,14 @@ public:
         ShardLocks(new std::mutex[size_t(1) << LogShards]),
         Versions(initialEpoch(LogShards, N, std::move(Edges), P)) {}
 
+  /// One-shard store whose epoch 0 is \p Initial, built under the
+  /// snapshot's own parameters (the paper interface's initial version,
+  /// graph/versioned_graph.h).
+  explicit ShardedGraphStoreT(Snapshot Initial)
+      : LogShards(0), Mask(0), Params(Initial.buildParams()),
+        ShardLocks(new std::mutex[1]),
+        Versions(oneShardEpoch(std::move(Initial), 0)) {}
+
   /// Durable open (opt-in; DESIGN.md Section 7): recover the newest
   /// valid checkpoint from \p O.Dir, replay the WAL suffix through the
   /// normal batch pipeline, and WAL-log + group-commit every subsequent
@@ -203,6 +231,27 @@ public:
   }
   uint64_t deleteBatch(const std::vector<EdgePair> &Edges) {
     return deleteBatch(Edges.data(), Edges.size());
+  }
+
+  /// The paper's set() (Aspen Section 6) on a one-shard store: publish
+  /// \p G as the next epoch, advancing BatchSeq by one. A raw install has
+  /// no touched digest, so the digest log is cleared and the next
+  /// acquireFlat() rebuilds. Throws std::logic_error on a multi-shard
+  /// store (a raw snapshot carries no partition) and on a durable store
+  /// (the install has no WAL record: recovery would stop at its seq and
+  /// lose every later acknowledged batch).
+  uint64_t installSnapshot(Snapshot G) {
+    if (numShards() != 1)
+      throw std::logic_error("installSnapshot needs a one-shard store");
+    if (Durable)
+      throw std::logic_error("installSnapshot on a durable store: a raw "
+                             "install has no WAL record");
+    std::scoped_lock Lock(ShardLocks[0], CommitM);
+    uint64_t Seq = PublishedSeqV.load(std::memory_order_relaxed) + 1;
+    Versions.set(oneShardEpoch(std::move(G), Seq));
+    Digests.clear();
+    PublishedSeqV.store(Seq, std::memory_order_release);
+    return Seq;
   }
 
   //===--------------------------------------------------------------------===
@@ -371,7 +420,7 @@ public:
     }
 
     /// Parallel traversal over (vertex, edge set) entries of every shard
-    /// (unordered across shards, like the single store's parallel form).
+    /// (unordered across shards, like GraphSnapshotT's parallel form).
     template <class F> void forEachVertex(const F &Fn) const {
       for (const Snapshot &S : E->Shards)
         S.forEachVertex(Fn);
@@ -529,7 +578,7 @@ public:
                                       P.second.begin(), P.second.end());
           });
       // Threshold on the *distinct* touched union (hot vertices hit by
-      // several replayed batches count once), as in the single store.
+      // several replayed batches count once).
       uint64_t Total = 0;
       if (Covered) {
         parallelFor(0, S, [&](size_t Sh) {
@@ -560,22 +609,9 @@ public:
         ++Stats.Refreshes;
       }
     }
-    if (!New) {
-      New = std::make_shared<FlatEpoch>();
-      New->Flats.resize(S);
-      parallelFor(0, S, [&](size_t Sh) {
-        New->Flats[Sh] = Flat(E.shard(Sh), unsigned(LogShards));
-      }, 1);
-      ++Stats.Rebuilds;
-    }
-    New->BatchSeq = Seq;
-    New->NumEdges = E.numEdges();
-    New->Universe = E.epoch().Universe;
-    New->LogShards = LogShards;
-    // Atomic publish pairs with the fast path's lock-free load.
-    std::atomic_store_explicit(
-        &CachedFlat, std::shared_ptr<const FlatEpoch>(New),
-        std::memory_order_release);
+    if (!New)
+      New = buildFlat(E);
+    publishFlat(New, E);
     return New;
   }
 
@@ -613,11 +649,19 @@ public:
     size_t S = numShards();
     std::vector<std::vector<uint8_t>> Streams(S);
     std::optional<uint64_t> Base = Durable->incrementalBaseFor();
-    bool Wrote = false;
-    if (Base && CkptEpoch.valid() && CkptEpochSeq == *Base) {
-      std::vector<uint8_t> Present(S, 0);
+    std::vector<uint8_t> Present(S, 1);
+    if (Base && CkptEpoch.valid() && CkptEpochSeq == *Base)
       for (size_t Sh = 0; Sh < S; ++Sh)
         Present[Sh] = E.shard(Sh).root() != CkptEpoch.shard(Sh).root();
+    else
+      Base.reset();
+    // A one-shard store whose shard changed writes a full checkpoint: an
+    // incremental one would hold the same bytes and only pin its base
+    // chain, with that chain's WAL, on disk.
+    if (S == 1 && Present[0])
+      Base.reset();
+    bool Wrote = false;
+    if (Base) {
       parallelFor(0, S, [&](size_t Sh) {
         if (Present[Sh])
           serializeSnapshot(E.shard(Sh), Streams[Sh]);
@@ -715,22 +759,34 @@ private:
   /// (checkpoint) epoch so the first post-recovery acquireFlat() takes
   /// the O(touched) refresh path over the replayed batches' digests.
   void primeFlatFromCurrent() {
-    size_t S = numShards();
     std::lock_guard<std::mutex> Lock(FlatM);
     Ref E = acquire();
+    publishFlat(buildFlat(E), E);
+  }
+
+  /// Full parallel flat build of every shard of \p E (caller holds FlatM).
+  std::shared_ptr<FlatEpoch> buildFlat(const Ref &E) {
+    size_t S = numShards();
     auto New = std::make_shared<FlatEpoch>();
     New->Flats.resize(S);
     parallelFor(0, S, [&](size_t Sh) {
       New->Flats[Sh] = Flat(E.shard(Sh), unsigned(LogShards));
     }, 1);
+    ++Stats.Rebuilds;
+    return New;
+  }
+
+  /// Stamp \p New with epoch \p E's aggregates and publish it as the hot
+  /// flat (caller holds FlatM). The atomic store pairs with the
+  /// acquireFlat() fast path's lock-free load.
+  void publishFlat(const std::shared_ptr<FlatEpoch> &New, const Ref &E) {
     New->BatchSeq = E.batchSeq();
     New->NumEdges = E.numEdges();
     New->Universe = E.epoch().Universe;
     New->LogShards = LogShards;
-    std::atomic_store_explicit(
-        &CachedFlat, std::shared_ptr<const FlatEpoch>(std::move(New)),
-        std::memory_order_release);
-    ++Stats.Rebuilds;
+    std::atomic_store_explicit(&CachedFlat,
+                               std::shared_ptr<const FlatEpoch>(New),
+                               std::memory_order_release);
   }
 
   /// Per-epoch touched digest: (shard, ascending touched vertex ids) for
@@ -770,6 +826,14 @@ private:
     return E;
   }
 
+  static Epoch oneShardEpoch(Snapshot G, uint64_t Seq) {
+    Epoch E;
+    E.Shards.push_back(std::move(G));
+    E.BatchSeq = Seq;
+    finalizeAggregates(E, 0);
+    return E;
+  }
+
   static void finalizeAggregates(Epoch &E, VertexId FloorUniverse) {
     uint64_t Edges = 0;
     VertexId U = FloorUniverse;
@@ -798,11 +862,16 @@ private:
     assert(At == K && "shard split must cover the batch");
   }
 
-  /// Group shard \p Sh's sub-span by source with a counting sort over
-  /// local ids, building one (global id, sorted edge set) pair per
-  /// distinct source into \p Pairs. \p Sub is mutable scratch. Depends
-  /// only on the batch, never on the base epoch — this is the phase the
-  /// pipeline runs before any lock.
+  /// Group shard \p Sh's sub-span by source, building one (global id,
+  /// sorted edge set) pair per distinct source into \p Pairs. \p Sub is
+  /// mutable scratch. Depends only on the batch, never on the base epoch
+  /// — this is the phase the pipeline runs before any lock.
+  ///
+  /// The grouping is a counting sort over local ids, O(K + M) for a batch
+  /// of K edges whose largest local source id is M - 1. A batch far
+  /// smaller than its id range (the paper's single-edge updates) sorts
+  /// by comparison instead, O(K log K): counting would scan all M
+  /// counters per batch. Both yield the same groups in the same order.
   ///
   /// The grouping scratch (counters, scatter buffer) is scoped to return
   /// to the per-worker cache before the tree merge runs: the merge's own
@@ -818,47 +887,64 @@ private:
       MaxLocal = std::max(MaxLocal, localId(Sub[I].first));
     size_t M = size_t(MaxLocal) + 1;
 
-    // Counting sort by local source id: Starts[l] = first slot of
-    // group l after the exclusive scan; Pos[] advances in the scatter.
-    CtxArray<uint32_t> Starts(M + 1);
-    uint32_t *StartsP = Starts.data();
-    std::memset(StartsP, 0, (M + 1) * sizeof(uint32_t));
-    for (size_t I = 0; I < K; ++I)
-      ++StartsP[localId(Sub[I].first) + 1];
-    for (size_t L = 0; L < M; ++L)
-      StartsP[L + 1] += StartsP[L];
-    CtxArray<uint32_t> Pos(M);
-    uint32_t *PosP = Pos.data();
-    std::memcpy(PosP, StartsP, M * sizeof(uint32_t));
+    // Group layout: group G holds local source GLocal[G], its
+    // destinations are Dst[GLo[G] .. GLo[G + 1]), and groups ascend by
+    // local id (local order implies global order within a shard: global
+    // id = local << LogShards | shard).
+    size_t MaxGroups = std::min(K, M);
+    CtxArray<uint32_t> GLoArr(MaxGroups + 1), GLocalArr(MaxGroups);
+    uint32_t *GLo = GLoArr.data(), *GLocal = GLocalArr.data();
     CtxArray<VertexId> Dst(K);
     VertexId *DstP = Dst.data();
-    for (size_t I = 0; I < K; ++I)
-      DstP[PosP[localId(Sub[I].first)]++] = Sub[I].second;
+    size_t Groups = 0;
+    // Sparse batch: K log K compares undercut the counting sort's passes
+    // over M counters with a wide margin once M exceeds 16 K.
+    if (K * 16 < M) {
+      parallelSort(Sub, K);
+      for (size_t I = 0; I < K; ++I) {
+        DstP[I] = Sub[I].second;
+        if (I == 0 || Sub[I].first != Sub[I - 1].first) {
+          GLo[Groups] = uint32_t(I);
+          GLocal[Groups++] = uint32_t(localId(Sub[I].first));
+        }
+      }
+    } else {
+      // Counting sort by local source id: Starts[l] = first slot of
+      // group l after the exclusive scan; Pos[] advances in the scatter.
+      CtxArray<uint32_t> Starts(M + 1);
+      uint32_t *StartsP = Starts.data();
+      std::memset(StartsP, 0, (M + 1) * sizeof(uint32_t));
+      for (size_t I = 0; I < K; ++I)
+        ++StartsP[localId(Sub[I].first) + 1];
+      for (size_t L = 0; L < M; ++L)
+        StartsP[L + 1] += StartsP[L];
+      CtxArray<uint32_t> Pos(M);
+      uint32_t *PosP = Pos.data();
+      std::memcpy(PosP, StartsP, M * sizeof(uint32_t));
+      for (size_t I = 0; I < K; ++I)
+        DstP[PosP[localId(Sub[I].first)]++] = Sub[I].second;
+      Groups = filterIndexInto(
+          M, [](size_t L) { return uint32_t(L); },
+          [&](size_t L) { return StartsP[L + 1] > StartsP[L]; }, GLocal);
+      parallelFor(0, Groups, [&](size_t G) { GLo[G] = StartsP[GLocal[G]]; });
+    }
+    GLo[Groups] = uint32_t(K);
 
-    // One grouped pair per nonempty local id, in increasing id order
-    // (local order implies global order within a shard: global id =
-    // local << LogShards | shard). The per-group sort + set builds are
-    // independent, so they fill the grouped batch in parallel by
-    // index; a skewed batch into one shard then still fans out across
-    // cores instead of serializing behind this loop.
-    CtxArray<uint32_t> GroupIds(M);
-    uint32_t *GroupIdsP = GroupIds.data();
-    size_t Groups = filterIndexInto(
-        M, [](size_t L) { return uint32_t(L); },
-        [&](size_t L) { return StartsP[L + 1] > StartsP[L]; }, GroupIdsP);
+    // The per-group sort + set builds are independent, so they fill the
+    // grouped batch in parallel by index; a skewed batch into one shard
+    // then still fans out across cores instead of serializing here.
     Pairs.emplace(Groups);
     Pairs->setSize(Groups);
     VertexId ShardBits = VertexId(Sh);
     parallelFor(0, Groups, [&](size_t G) {
-      uint32_t L = GroupIdsP[G];
-      uint32_t Lo = StartsP[L], Hi = StartsP[L + 1];
+      uint32_t Lo = GLo[G], Hi = GLo[G + 1];
       size_t Len = Hi - Lo;
       if (Len >= 8192)
         parallelSort(DstP + Lo, Len);
       else
         std::sort(DstP + Lo, DstP + Hi);
       Len = size_t(std::unique(DstP + Lo, DstP + Hi) - (DstP + Lo));
-      VertexId Global = (VertexId(L) << LogShards) | ShardBits;
+      VertexId Global = (VertexId(GLocal[G]) << LogShards) | ShardBits;
       Pairs->emplaceAt(G, Global,
                        EdgeSet::buildSorted(DstP + Lo, Len, Params));
     });

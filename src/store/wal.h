@@ -5,8 +5,7 @@
 // the caller's insert/delete returns. Records carry the store's batch
 // sequence number, so recovery (store/durability.h) can replay exactly
 // the suffix a checkpoint does not cover, in install order, through the
-// same insertEdgesSpan/deleteEdgesSpan paths that produced the original
-// epochs.
+// same batch pipeline that produced the original epochs.
 //
 // On-disk layout of one segment file:
 //

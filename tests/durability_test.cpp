@@ -17,6 +17,8 @@
 //     both the versioned and the sharded store.
 //   * A concurrent ingest + background checkpoint test (TSan coverage)
 //     asserting reopen reproduces the exact final state.
+//   * Directory interop: a versioned store's directory reopens as a
+//     one-shard sharded store and the reverse, byte-identical.
 //
 // Crash simulation is exception-based over unbuffered fd I/O: bytes
 // written before a SimulatedCrash stay in the files exactly as a kill
@@ -42,6 +44,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <fcntl.h>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -390,6 +393,126 @@ TEST(DurableVersioned, RecoveryPrimesFlatForRefresh) {
   for (VertexId X = 0; X < FV.numVertices(); ++X)
     DegFlat += FV.degree(X);
   EXPECT_EQ(DegTree, DegFlat);
+}
+
+TEST(DurableVersioned, RawSetRefusedSoNoAcknowledgedBatchIsLost) {
+  // A raw set() has no WAL record: had it advanced the seq, the next
+  // batch would be logged one past a gap that recovery stops at, and
+  // that acknowledged batch would vanish on reopen.
+  TempDir D;
+  {
+    VersionedGraph St(optsFor(D.path()));
+    St.insertEdgesBatch({{1, 2}});
+    EXPECT_THROW(St.set(St.acquire().graph()), std::logic_error);
+    St.insertEdgesBatch({{3, 4}});
+    EXPECT_EQ(St.currentTimestamp(), 2);
+  }
+  VersionedGraph Re(optsFor(D.path()));
+  EXPECT_EQ(Re.durability()->recovered().MaxSeq, 2u);
+  EXPECT_EQ(Re.currentTimestamp(), 2);
+  auto V = Re.acquire();
+  EXPECT_EQ(V.graph().numEdges(), 2u);
+  EXPECT_TRUE(V.graph().containsEdge(1, 2));
+  EXPECT_TRUE(V.graph().containsEdge(3, 4));
+}
+
+TEST(DurableVersioned, OneShardCheckpointsStayFull) {
+  // With one shard, an incremental checkpoint would rewrite the whole
+  // shard anyway and pin its base chain (and that chain's WAL) on disk:
+  // every checkpoint is full, so retention keeps KeepCheckpoints files.
+  TempDir D;
+  BatchList Batches = makeBatches(6, 100, 1000, 606);
+  {
+    VersionedGraph St(optsFor(D.path(), /*Every=*/1));
+    for (auto &B : Batches) {
+      if (B.first)
+        St.insertEdgesBatch(B.second);
+      else
+        St.deleteEdgesBatch(B.second);
+    }
+  }
+  for (uint64_t Seq : {5u, 6u}) {
+    auto M = peekCheckpointMeta(D.path() + "/" + detail::ckptFileName(Seq));
+    ASSERT_TRUE(M.has_value()) << "ckpt " << Seq;
+    EXPECT_EQ(M->BaseSeq, 0u) << "ckpt " << Seq;
+  }
+  EXPECT_EQ(countFilesWithPrefix(D.path(), "ckpt-"), 2u);
+}
+
+//===----------------------------------------------------------------------===
+// Directory interop: the versioned store is the one-shard sharded store,
+// so either type reopens the other's directory (checkpoint + WAL tail).
+//===----------------------------------------------------------------------===
+
+TEST(DurableInterop, VersionedDirectoryReopensAsOneShardStore) {
+  TempDir D;
+  BatchList Batches = makeBatches(10, 200, 2500, 404);
+  VersionedGraph Ref{Graph{}};
+  {
+    VersionedGraph St(optsFor(D.path(), /*Every=*/4));
+    for (auto &B : Batches) {
+      if (B.first) {
+        St.insertEdgesBatch(B.second);
+        Ref.insertEdgesBatch(B.second);
+      } else {
+        St.deleteEdgesBatch(B.second);
+        Ref.deleteEdgesBatch(B.second);
+      }
+    }
+  }
+  {
+    ShardedGraphStore Re(optsFor(D.path()), 1, 0);
+    EXPECT_EQ(Re.batchSeq(), Batches.size());
+    ASSERT_EQ(Re.numShards(), 1u);
+    EXPECT_TRUE(graphsIdentical(Re.acquire().shard(0), Ref.acquire().graph()));
+  }
+  // Stamps are absolute: a reopened versioned store resumes at the
+  // recovered batch seq, not at zero.
+  VersionedGraph Re(optsFor(D.path()));
+  EXPECT_EQ(Re.currentTimestamp(), int64_t(Batches.size()));
+  EXPECT_EQ(Re.acquire().timestamp(), Batches.size());
+  EXPECT_TRUE(graphsIdentical(Re.acquire().graph(), Ref.acquire().graph()));
+}
+
+TEST(DurableInterop, OneShardDirectoryReopensAsVersioned) {
+  TempDir D;
+  BatchList Batches = makeBatches(10, 200, 2500, 505);
+  ShardedGraphStore Ref(1, 0);
+  {
+    ShardedGraphStore St(optsFor(D.path(), /*Every=*/4), 1, 0);
+    for (auto &B : Batches) {
+      if (B.first) {
+        St.insertBatch(B.second);
+        Ref.insertBatch(B.second);
+      } else {
+        St.deleteBatch(B.second);
+        Ref.deleteBatch(B.second);
+      }
+    }
+  }
+  {
+    VersionedGraph Re(optsFor(D.path()));
+    EXPECT_EQ(Re.currentTimestamp(), int64_t(Batches.size()));
+    EXPECT_TRUE(
+        graphsIdentical(Re.acquire().graph(), Ref.acquire().shard(0)));
+    // The versioned store keeps logging at the next absolute seq.
+    std::vector<EdgePair> More{{1, 7}, {2, 9}};
+    Re.insertEdgesBatch(More);
+    Ref.insertBatch(More);
+  }
+  ShardedGraphStore Re(optsFor(D.path()), 1, 0);
+  EXPECT_EQ(Re.batchSeq(), Batches.size() + 1);
+  EXPECT_TRUE(shardedIdentical(Re, Ref));
+}
+
+TEST(DurableInterop, MultiShardDirectoryRefusedByVersioned) {
+  TempDir D;
+  {
+    ShardedGraphStore St(optsFor(D.path()), 4, 100);
+    St.insertBatch({{1, 2}, {6, 3}});
+    St.checkpointNow();
+  }
+  EXPECT_THROW(VersionedGraph Re(optsFor(D.path())), CorruptCheckpoint);
 }
 
 //===----------------------------------------------------------------------===

@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "gen/generators.h"
+#include "graph/versioned_graph.h"
 #include "serve/server.h"
 #include "store/checkpoint.h"
 #include "store/sharded_graph.h"
