@@ -1,15 +1,11 @@
 //===- bench/bench_serving.cpp - Multi-tenant snapshot serving ------------===//
 //
-// The serving subsystem end to end (DESIGN.md Section 8): how much a
-// contended same-shard writer stream gains from the coalescing +
-// pipelining ingest front, what sustained query throughput looks like
-// while a writer streams batches (latency percentiles, epoch lag,
-// coalescing behavior), and that overload degrades to load shedding with
-// bounded latency for admitted queries rather than collapse.
+// The serving subsystem end to end (DESIGN.md Section 8): what sustained
+// query throughput looks like while a writer streams batches (latency
+// percentiles, epoch lag), and that overload degrades to load shedding
+// with bounded latency for admitted queries rather than collapse.
 //
 // Reported rows:
-//   serve/coalesce/*        4-writer hot-shard ingest: front vs serialized
-//                           one-batch-at-a-time (acceptance: >= 1.5x)
 //   serve/qps/<store>/*     sustained queries/sec under concurrent ingest
 //                           with p50/p99/p999 latency and epoch lag, on
 //                           the default hybrid store and on chunked
@@ -54,115 +50,8 @@ double percentile(std::vector<double> &Samples, double P) {
   return Samples[I];
 }
 
-/// Batches that all land on shard 0 of an S-shard store: the contended
-/// writer stream the coalescing front targets.
-std::vector<std::vector<EdgePair>> hotShardBatches(VertexId N, size_t Shards,
-                                                   size_t NumBatches,
-                                                   size_t BatchSize,
-                                                   uint64_t Seed) {
-  std::vector<std::vector<EdgePair>> Out(NumBatches);
-  for (size_t B = 0; B < NumBatches; ++B) {
-    Out[B].reserve(BatchSize);
-    for (size_t I = 0; I < BatchSize; ++I) {
-      uint64_t H = hash64(Seed + B * BatchSize + I);
-      VertexId Src = VertexId((H % (N / Shards)) * Shards); // shard 0
-      VertexId Dst = VertexId((H >> 24) % N);
-      Out[B].push_back({Src, Dst});
-    }
-  }
-  return Out;
-}
-
 //===----------------------------------------------------------------------===
-// Section A: writer coalescing + pipelining vs serialized ingest.
-//===----------------------------------------------------------------------===
-
-void benchCoalesce(const BenchConfig &C) {
-  const VertexId N = VertexId(1) << C.LogN;
-  const size_t Shards = 8, Writers = 4;
-  const size_t PerWriter = 12, BatchSize = 20000;
-  auto Batches =
-      hotShardBatches(N, Shards, Writers * PerWriter, BatchSize, C.Seed);
-  double TotalEdges = double(Batches.size()) * double(BatchSize);
-
-  std::printf("\n== same-shard ingest: %zu writers x %zu batches x %zu "
-              "edges ==\n",
-              Writers, PerWriter, BatchSize);
-
-  // Serialized baseline: one batch at a time through the shard locks,
-  // group/sort included under the lock (pipelining off) — what a convoy
-  // of direct store calls does.
-  auto RunSerialized = [&] {
-    ShardedGraphStore S(Shards, N);
-    S.setPipelinedIngest(false);
-    for (const auto &B : Batches)
-      S.insertBatch(B);
-  };
-
-  // Coalesced installs: the same stream in groups of `Writers` merged
-  // spans — exactly what the ingest front installs when the 4 writers'
-  // batches queue up behind the shard locks. One tree-merge pass over
-  // the hot shard per group instead of per batch.
-  auto RunCoalesced = [&] {
-    ShardedGraphStore S(Shards, N);
-    for (size_t G = 0; G < Batches.size(); G += Writers) {
-      std::vector<EdgeSpan> Spans;
-      for (size_t I = G; I < std::min(G + Writers, Batches.size()); ++I)
-        Spans.push_back({Batches[I].data(), Batches[I].size()});
-      S.applySpans(Spans.data(), Spans.size(), /*Insert=*/true);
-    }
-  };
-
-  // The live front: 4 concurrent writers submitting through
-  // IngestFrontT. Group formation depends on writers actually queueing
-  // behind each other, so on a single-core host this degenerates toward
-  // the serialized shape (a client can't enqueue while the combiner has
-  // the only CPU); on multicore it adds prepare/install overlap on top
-  // of the coalescing above.
-  uint64_t Installs = 0, MaxGroup = 0, Coalesced = 0;
-  auto RunFront = [&] {
-    ShardedGraphStore S(Shards, N);
-    IngestFrontT<ShardedGraphStore> Front(S);
-    std::vector<std::thread> Ts;
-    for (size_t W = 0; W < Writers; ++W)
-      Ts.emplace_back([&, W] {
-        for (size_t B = 0; B < PerWriter; ++B)
-          Front.insertBatch(Batches[W * PerWriter + B]);
-      });
-    for (auto &T : Ts)
-      T.join();
-    auto St = Front.stats();
-    Installs = St.Installs;
-    MaxGroup = St.MaxGroup;
-    Coalesced = St.Coalesced;
-  };
-
-  double TSer = benchTime(C.Rounds, RunSerialized);
-  double TCoal = benchTime(C.Rounds, RunCoalesced);
-  double TFront = benchTime(C.Rounds, RunFront);
-
-  reportValue("serve/coalesce/serialized_edges_per_s", TotalEdges / TSer,
-              "edges/s");
-  reportValue("serve/coalesce/coalesced_edges_per_s", TotalEdges / TCoal,
-              "edges/s");
-  reportValue("serve/coalesce/front_edges_per_s", TotalEdges / TFront,
-              "edges/s");
-  auto ReportX = [&](const char *Key, double V) {
-    recordMetric(Key, V);
-    std::printf("  %-44s %11.2fx%s\n", Key, V,
-                compareSuffix(Key, V).c_str());
-  };
-  ReportX("serve/coalesce/speedup_vs_serialized", TSer / TCoal);
-  ReportX("serve/coalesce/front_speedup_vs_serialized", TSer / TFront);
-  reportValue("serve/coalesce/front_installs", double(Installs), "groups");
-  reportValue("serve/coalesce/front_batches_coalesced", double(Coalesced),
-              "batches");
-  reportValue("serve/coalesce/front_max_group", double(MaxGroup),
-              "batches");
-}
-
-//===----------------------------------------------------------------------===
-// Section B: sustained query throughput under concurrent ingest.
+// Section A: sustained query throughput under concurrent ingest.
 //===----------------------------------------------------------------------===
 
 template <class Store>
@@ -274,14 +163,11 @@ void benchServing(const char *StoreName, const BenchConfig &C) {
                   : 0.0,
               "batches");
   reportValue(P + "/epoch_lag_max", double(St.EpochLagMax), "batches");
-  reportValue(P + "/front_installs", double(St.Front.Installs), "groups");
-  reportValue(P + "/front_coalesced", double(St.Front.Coalesced),
-              "batches");
   reportValue(P + "/session_waits", double(St.SessionWaits), "waits");
 }
 
 //===----------------------------------------------------------------------===
-// Section C: overload — shed, don't collapse.
+// Section B: overload — shed, don't collapse.
 //===----------------------------------------------------------------------===
 
 void benchOverload(const BenchConfig &C) {
@@ -345,7 +231,6 @@ int main(int Argc, char **Argv) {
                  ComparePath.c_str());
   printEnvironment();
 
-  benchCoalesce(C);
   benchServing<HybridShardedGraphStore>("hybrid", C);
   benchServing<ShardedGraphStore>("chunked", C);
   benchOverload(C);

@@ -7,10 +7,10 @@
 //
 //   - queries running on pooled AlgoContexts with per-query snapshot
 //     pins (each sees one consistent epoch, reused allocation-free),
-//   - writer batches coalescing in the ingest front,
+//   - writer batches applied by the workers, one epoch per batch,
 //   - load shedding: offered load beyond the queue bound is rejected
 //     up front instead of growing an unbounded backlog,
-//   - the final stats line: admitted/shed, epoch lag, coalesced groups.
+//   - the final stats line: admitted/shed, batches applied, epoch lag.
 //
 //   ./example_snapshot_server [-scale 13] [-tenants 4] [-queries 200]
 //                             [-batches 50] [-batchsize 2000]
@@ -109,11 +109,10 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(St.Admission.AdmittedWrites +
                                               St.Admission.ShedWrites),
               static_cast<unsigned long long>(St.Admission.ShedWrites));
-  std::printf("ingest front: %llu batches in %llu installs (max group "
-              "%llu); epoch lag mean %.2f max %llu; session waits %llu\n",
-              static_cast<unsigned long long>(St.Front.Submitted),
-              static_cast<unsigned long long>(St.Front.Installs),
-              static_cast<unsigned long long>(St.Front.MaxGroup),
+  std::printf("ingest: %llu batches applied (%llu errors); epoch lag mean "
+              "%.2f max %llu; session waits %llu\n",
+              static_cast<unsigned long long>(St.WritesDone),
+              static_cast<unsigned long long>(St.WriteErrors),
               St.QueriesDone ? double(St.EpochLagSum) / double(St.QueriesDone)
                              : 0.0,
               static_cast<unsigned long long>(St.EpochLagMax),

@@ -3,8 +3,10 @@
 // Parallel MIS with random priorities (Luby-style, as in the paper's MIS
 // of Section 7): in each round every undecided vertex whose hash priority
 // beats all undecided neighbors joins the set; its neighbors leave. The
-// decision and removal phases are separated so each round is race-free.
-// Expected O(log n) rounds.
+// decision and removal phases are separated so each round's result is
+// independent of scheduling; the removal phase's concurrent reads and
+// writes of a shared neighbor's state are relaxed atomics. Expected
+// O(log n) rounds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +18,7 @@
 #include "parallel/primitives.h"
 #include "util/hash.h"
 
+#include <atomic>
 #include <vector>
 
 namespace aspen {
@@ -28,8 +31,17 @@ template <class GView>
 std::vector<uint8_t> mis(const GView &G, AlgoContext &Ctx,
                          uint64_t Seed = 0x9e3779b9) {
   VertexId N = G.numVertices();
-  CtxArray<MisState> State(Ctx, N);
-  parallelFor(0, N, [&](size_t I) { State[I] = MisState::Undecided; });
+  CtxArray<std::atomic<MisState>> StateMem(Ctx, N);
+  std::atomic<MisState> *State = StateMem.data();
+  parallelFor(0, N, [&](size_t I) {
+    new (&State[I]) std::atomic<MisState>(MisState::Undecided);
+  });
+  auto Get = [&](VertexId V) {
+    return State[V].load(std::memory_order_relaxed);
+  };
+  auto Set = [&](VertexId V, MisState X) {
+    State[V].store(X, std::memory_order_relaxed);
+  };
   auto Priority = [&](VertexId V) { return hashAt(Seed, V); };
 
   // Active list of still-undecided vertices; double-buffered because the
@@ -47,7 +59,7 @@ std::vector<uint8_t> mis(const GView &G, AlgoContext &Ctx,
       uint64_t PV = Priority(V);
       bool IsMax = true;
       G.iterNeighborsCond(V, [&](VertexId U) {
-        if (State[U] != MisState::Out && U != V) {
+        if (Get(U) != MisState::Out && U != V) {
           uint64_t PU = Priority(U);
           if (PU > PV || (PU == PV && U > V)) {
             IsMax = false;
@@ -61,28 +73,29 @@ std::vector<uint8_t> mis(const GView &G, AlgoContext &Ctx,
     // Phase 2: commit winners.
     parallelFor(0, ActiveSize, [&](size_t I) {
       if (Winner[I])
-        State[Active[I]] = MisState::In;
+        Set(Active[I], MisState::In);
     });
     // Phase 3: remove neighbors of winners.
     parallelFor(0, ActiveSize, [&](size_t I) {
       if (!Winner[I])
         return;
       G.iterNeighborsCond(Active[I], [&](VertexId U) {
-        if (State[U] == MisState::Undecided)
-          State[U] = MisState::Out; // idempotent benign race
+        // Several winners may share U: every writer stores Out.
+        if (Get(U) == MisState::Undecided)
+          Set(U, MisState::Out);
         return true;
       });
     }, 16);
     // Phase 4: shrink the active set into the other buffer.
     ActiveSize = filterIndexInto(
         ActiveSize, [&](size_t I) { return Active[I]; },
-        [&](size_t I) { return State[Active[I]] == MisState::Undecided; },
+        [&](size_t I) { return Get(Active[I]) == MisState::Undecided; },
         NextActive);
     std::swap(Active, NextActive);
   }
 
   return tabulate(size_t(N), [&](size_t I) {
-    return uint8_t(State[I] == MisState::In ? 1 : 0);
+    return uint8_t(Get(VertexId(I)) == MisState::In ? 1 : 0);
   });
 }
 

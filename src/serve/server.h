@@ -2,11 +2,11 @@
 //
 // The end-to-end serving assembly (DESIGN.md Section 8): a worker pool
 // over a sharded store that serves pinned-snapshot queries concurrently
-// with coalesced, pipelined ingest.
+// with ingest.
 //
 //   requests -> AdmissionQueueT (bounded, weighted-fair, load-shedding)
 //     reads  -> SessionPool lease -> QueryContext (lazy snapshot pin)
-//     writes -> IngestFrontT (coalescing + pipelining into the store)
+//     writes -> the store's insertBatch / deleteBatch (one epoch each)
 //
 // Every query runs on a leased AlgoContext (allocation-free at steady
 // state) and pins at most one tree epoch (acquire) and one flat epoch
@@ -26,8 +26,8 @@
 #define ASPEN_SERVE_SERVER_H
 
 #include "serve/admission.h"
-#include "serve/ingest_front.h"
 #include "serve/session.h"
+#include "store/sharded_graph.h"
 
 #include <atomic>
 #include <chrono>
@@ -47,7 +47,6 @@ public:
     size_t ReadQueueCap = 1024;   ///< queued queries before shedding
     size_t WriteQueueCap = 64;    ///< queued batches before shedding
     unsigned ReadsPerWrite = 8;   ///< fairness ratio under saturation
-    size_t MaxCoalesce = 32;      ///< ingest-front group bound
     size_t CtxRetainBytes = 0;    ///< per-context retain limit (0 = off)
 
     /// Throttle a write while the oldest still-queued read already lags
@@ -100,14 +99,12 @@ public:
     uint64_t EpochLagSum = 0; ///< batches landed while queries queued
     uint64_t EpochLagMax = 0;
     uint64_t WriteThrottleWaits = 0; ///< writes delayed by MaxReaderLag
-    AdmissionStats Admission;                  ///< shed/admit counts
-    typename IngestFrontT<Store>::Stats Front; ///< coalescing stats
+    AdmissionStats Admission; ///< shed/admit counts
     uint64_t SessionWaits = 0;
   };
 
   SnapshotServerT(Store &S, Options O = {})
-      : S(S), O(O), Front(S, O.MaxCoalesce),
-        Pool(O.Workers ? O.Workers : 1, O.CtxRetainBytes),
+      : S(S), O(O), Pool(O.Workers ? O.Workers : 1, O.CtxRetainBytes),
         Queue({O.ReadQueueCap, O.WriteQueueCap, O.ReadsPerWrite}) {
     Threads.reserve(this->O.Workers ? this->O.Workers : 1);
     for (size_t I = 0, N = this->O.Workers ? this->O.Workers : 1; I < N;
@@ -129,8 +126,8 @@ public:
     return push(RequestClass::Read, std::move(It));
   }
 
-  /// Admit an insert batch; false = shed (write queue full). The batch
-  /// routes through the coalescing ingest front.
+  /// Admit an insert batch; false = shed (write queue full). A worker
+  /// applies it with the store's insertBatch.
   bool submitInsert(std::vector<EdgePair> Edges) {
     Item It;
     It.Edges = std::move(Edges);
@@ -172,13 +169,11 @@ public:
     R.WriteThrottleWaits =
         WriteThrottleWaits.load(std::memory_order_relaxed);
     R.Admission = Queue.stats();
-    R.Front = Front.stats();
     R.SessionWaits = Pool.waitCount();
     return R;
   }
 
   Store &store() { return S; }
-  IngestFrontT<Store> &front() { return Front; }
 
 private:
   struct Item {
@@ -259,9 +254,9 @@ private:
         }
         try {
           if (It.Insert)
-            Front.insertBatch(It.Edges);
+            S.insertBatch(It.Edges);
           else
-            Front.deleteBatch(It.Edges);
+            S.deleteBatch(It.Edges);
         } catch (...) {
           WriteErrors.fetch_add(1, std::memory_order_relaxed);
         }
@@ -273,7 +268,6 @@ private:
 
   Store &S;
   Options O;
-  IngestFrontT<Store> Front;
   SessionPool Pool;
   AdmissionQueueT<Item> Queue;
   std::vector<std::thread> Threads;

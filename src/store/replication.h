@@ -371,6 +371,8 @@ public:
   UnixShipService &operator=(const UnixShipService &) = delete;
 
   ~UnixShipService() {
+    // stop() only shuts the socket down; the Listener member closes it
+    // after this body, once the acceptor has left accept().
     Listener.stop();
     Acceptor.join();
     for (std::thread &Th : Handlers)

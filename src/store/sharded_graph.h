@@ -12,35 +12,28 @@
 // so per-shard edge counts always sum to a batch boundary and no reader
 // ever observes a torn batch.
 //
-// Ingest is a pipeline (DESIGN.md Sections 3 and 8):
-//   1. Prepare (no locks): the incoming spans are concatenated into one
-//      merged span, partitioned by shard with filterIndexInto into
-//      borrowed scratch (zero steady-state heap allocation, per the
-//      AlgoContext contract), and each shard's sub-span is grouped with
-//      a counting sort over *local* vertex ids (the hash partition
-//      compresses a shard's id space by S, so the counter array stays
-//      cache-resident — this is what makes grouping cheaper than
-//      GraphSnapshotT's span-path comparison sort; a batch far smaller
-//      than its id range sorts by comparison instead). Because the
-//      grouping depends only on the batch, not on the base epoch, this
-//      whole phase runs before any writer lock is taken: batch N+1's
-//      group/sort overlaps batch N's merge/install instead of serializing
-//      behind it.
-//   2. Merge: the touched shards' writer locks are taken in ascending
-//      order, then per-shard functional merges multiInsert the prepared
-//      groups in parallel — one writer per shard.
-//   3. Install: under the commit lock, a new epoch is formed from the
-//      latest published epoch with the touched shards replaced, and
-//      published atomically via the version list. Writers whose batches
-//      touch disjoint shards merge concurrently and serialize only for
-//      the O(S) pointer-copy install.
-//
-// A prepared group may carry SEVERAL submitted batches (EdgeSpans) at
-// once: serve/ingest_front.h coalesces same-kind batches queued behind a
-// busy shard into one merged span, which this store installs as a single
-// epoch advancing BatchSeq by the number of coalesced batches (each
-// batch keeps its own WAL record). Set semantics make the result
-// byte-identical to one-at-a-time ingest (DESIGN.md Section 8).
+// Ingest (DESIGN.md Sections 3 and 8): insertBatch, deleteBatch and WAL
+// recovery replay share one function, ingest(), which applies a batch as
+// a single writer and publishes one epoch for it (Aspen Section 6):
+//   1. Split (no locks): the batch is partitioned by owning shard with
+//      filterIndexInto into borrowed scratch (zero steady-state heap
+//      allocation, per the AlgoContext contract).
+//   2. Group (no locks): each shard's sub-batch is grouped with a counting
+//      sort over *local* vertex ids (the hash partition compresses a
+//      shard's id space by S, so the counter array stays cache-resident —
+//      this is what makes grouping cheaper than GraphSnapshotT's span-path
+//      comparison sort; a batch far smaller than its id range sorts by
+//      comparison instead). Grouping depends only on the batch, not on
+//      the base epoch, so a same-shard writer's group/sort overlaps its
+//      predecessor's merge/install instead of queueing behind it.
+//   3. Lock: the touched shards' writer locks are taken in ascending order.
+//   4. Merge + install: per-shard functional merges multiInsert the groups
+//      in parallel — one writer per shard — then, under the commit lock, a
+//      new epoch is formed from the latest published epoch with the
+//      touched shards replaced, the batch's WAL record is appended, its
+//      touched digest recorded, and the epoch published atomically via the
+//      version list. Writers whose batches touch disjoint shards merge
+//      concurrently and serialize only for the O(S) pointer-copy install.
 //
 // Readers compose the per-shard snapshots behind ShardedGraphView, which
 // implements the same graph-view concept (numVertices / numEdges / degree
@@ -92,14 +85,6 @@ struct FlatMaintenanceStats {
 /// analysis.
 inline constexpr uint64_t FlatRefreshDenominator = 8;
 inline constexpr size_t FlatReplayMaxEpochs = 64;
-
-/// A borrowed, immutable view of one submitted batch's edges. Spans
-/// alias caller memory: the edges must stay alive until the apply (or
-/// commit) call that consumes the span returns.
-struct EdgeSpan {
-  const EdgePair *Data = nullptr;
-  size_t Size = 0;
-};
 
 /// Hash-partitioned versioned graph store over \p EdgeSet shards.
 template <class EdgeSet> class ShardedGraphStoreT {
@@ -174,7 +159,7 @@ public:
 
   /// Durable open (opt-in; DESIGN.md Section 7): recover the newest
   /// valid checkpoint from \p O.Dir, replay the WAL suffix through the
-  /// normal batch pipeline, and WAL-log + group-commit every subsequent
+  /// one ingest path, and WAL-log + group-commit every subsequent
   /// batch before acknowledging it. A checkpoint's shard count is
   /// authoritative — \p NumShards only shapes a fresh directory (the
   /// hash partition must match the one the checkpointed shards were
@@ -211,14 +196,13 @@ public:
     return PublishedSeqV.load(std::memory_order_acquire);
   }
 
-  /// Atomically apply an insert batch (see class comment for the
-  /// pipeline); returns the new epoch's batch sequence number. Many
+  /// Atomically apply an insert batch (see the file comment for the
+  /// ingest steps); returns the new epoch's batch sequence number. Many
   /// threads may call concurrently; batches touching disjoint shards
   /// merge in parallel, and same-shard writers overlap their group/sort
-  /// phase with the predecessor's merge/install.
+  /// with the predecessor's merge/install.
   uint64_t insertBatch(const EdgePair *Edges, size_t K) {
-    EdgeSpan S{Edges, K};
-    return applySpans(&S, 1, /*Insert=*/true);
+    return ingest(Edges, K, /*Insert=*/true);
   }
   uint64_t insertBatch(const std::vector<EdgePair> &Edges) {
     return insertBatch(Edges.data(), Edges.size());
@@ -226,8 +210,7 @@ public:
 
   /// Atomically apply a delete batch.
   uint64_t deleteBatch(const EdgePair *Edges, size_t K) {
-    EdgeSpan S{Edges, K};
-    return applySpans(&S, 1, /*Insert=*/false);
+    return ingest(Edges, K, /*Insert=*/false);
   }
   uint64_t deleteBatch(const std::vector<EdgePair> &Edges) {
     return deleteBatch(Edges.data(), Edges.size());
@@ -252,125 +235,6 @@ public:
     Digests.clear();
     PublishedSeqV.store(Seq, std::memory_order_release);
     return Seq;
-  }
-
-  //===--------------------------------------------------------------------===
-  // Coalesced / pipelined ingest (DESIGN.md Section 8). EdgeSpans borrow
-  // their edges from the caller, which must keep them alive until the
-  // apply/commit call returns.
-  //===--------------------------------------------------------------------===
-
-  /// Atomically apply \p N same-kind batches as ONE merged span and ONE
-  /// installed epoch: BatchSeq advances by N (every submitted batch keeps
-  /// its own sequence number and, on a durable store, its own WAL
-  /// record), and the final state is byte-identical to applying the
-  /// batches one at a time. Returns the LAST batch's sequence number.
-  uint64_t applySpans(const EdgeSpan *Spans, size_t N, bool Insert) {
-    if (N == 0)
-      return batchSeq();
-    if (PipelinedV.load(std::memory_order_relaxed))
-      return commitPrepared(prepareSpans(Spans, N, Insert));
-    return applySerialized(Spans, N, Insert);
-  }
-
-  /// A batch group that finished its lock-free prepare phase (split by
-  /// shard + counting-sort grouping + per-group edge-set builds) and is
-  /// ready to merge/install. Produced by prepareSpans(), consumed by
-  /// commitPrepared(). Move-only; its grouped sets live in borrowed
-  /// worker-cache scratch, which migrates safely across threads on
-  /// release — though keeping prepare and commit on one thread (as the
-  /// ingest front does) preserves cache locality.
-  class PreparedIngest {
-  public:
-    PreparedIngest() = default;
-    PreparedIngest(PreparedIngest &&) = default;
-    PreparedIngest &operator=(PreparedIngest &&) = default;
-
-  private:
-    friend class ShardedGraphStoreT;
-    std::vector<std::optional<GroupedBatchT<EdgeSet>>> Groups; // per shard
-    std::vector<std::vector<VertexId>> Touched;                // per shard
-    std::vector<EdgeSpan> Spans; ///< original batches, for the WAL
-    bool Insert = false;
-  };
-
-  /// Prepare phase: coalesce \p N same-kind spans into one merged span,
-  /// split it by owning shard, and group every shard's sub-span. Takes
-  /// no locks — callers run it concurrently with a predecessor's
-  /// merge/install (the pipelining half of DESIGN.md Section 8).
-  PreparedIngest prepareSpans(const EdgeSpan *Spans, size_t N, bool Insert) {
-    size_t S = numShards();
-    PreparedIngest P;
-    P.Insert = Insert;
-    P.Spans.assign(Spans, Spans + N);
-    // Sized at construction (optional<GroupedBatchT> is not movable, so
-    // the vector must never reallocate; moving the vector itself is a
-    // buffer steal and stays legal).
-    P.Groups = std::vector<std::optional<GroupedBatchT<EdgeSet>>>(S);
-    P.Touched.resize(S);
-    size_t K = 0;
-    for (size_t I = 0; I < N; ++I)
-      K += Spans[I].Size;
-    if (K == 0)
-      return P;
-
-    // The coalesced span: a single batch aliases its caller's buffer; a
-    // group concatenates into scratch (this IS the "merged span").
-    std::optional<CtxArray<EdgePair>> AllStore;
-    const EdgePair *AllP = Spans[0].Data;
-    if (N > 1) {
-      AllStore.emplace(K);
-      EdgePair *Dst = AllStore->data();
-      size_t At = 0;
-      for (size_t I = 0; I < N; ++I) {
-        if (Spans[I].Size)
-          std::copy(Spans[I].Data, Spans[I].Data + Spans[I].Size, Dst + At);
-        At += Spans[I].Size;
-      }
-      AllP = Dst;
-    }
-
-    // Split by owning shard, then group each shard's sub-span (parallel
-    // across shards; the per-group set builds fan out further inside).
-    CtxArray<EdgePair> Parts(K);
-    EdgePair *PartsP = Parts.data();
-    CtxArray<size_t> ShardLo(S + 1);
-    size_t *ShardLoP = ShardLo.data();
-    splitByShard(AllP, K, PartsP, ShardLoP);
-    parallelFor(0, S, [&](size_t Sh) {
-      size_t Lo = ShardLoP[Sh], Hi = ShardLoP[Sh + 1];
-      if (Hi > Lo)
-        groupShard(Sh, PartsP + Lo, Hi - Lo, P.Groups[Sh], &P.Touched[Sh]);
-    }, 1);
-    return P;
-  }
-
-  /// Merge/install phase: lock the touched shards in ascending order,
-  /// tree-merge the prepared groups in parallel, and publish one epoch
-  /// advancing BatchSeq by the number of coalesced batches. Returns the
-  /// last batch's sequence number.
-  uint64_t commitPrepared(PreparedIngest P) {
-    size_t S = numShards();
-    CtxArray<uint8_t> TouchedSh(S);
-    uint8_t *TouchedShP = TouchedSh.data();
-    for (size_t Sh = 0; Sh < S; ++Sh)
-      TouchedShP[Sh] =
-          P.Groups[Sh].has_value() && P.Groups[Sh]->size() > 0;
-    for (size_t Sh = 0; Sh < S; ++Sh)
-      if (TouchedShP[Sh])
-        ShardLocks[Sh].lock();
-    return mergeInstall(P.Groups, P.Touched, TouchedShP, P.Spans.data(),
-                        P.Spans.size(), P.Insert);
-  }
-
-  /// Toggle the pipelined prepare phase (default on). When off, the
-  /// group/sort work runs under the shard locks — the pre-pipelining
-  /// ingest path, kept as the serving benchmark's A/B baseline.
-  void setPipelinedIngest(bool On) {
-    PipelinedV.store(On, std::memory_order_relaxed);
-  }
-  bool pipelinedIngest() const {
-    return PipelinedV.load(std::memory_order_relaxed);
   }
 
   //===--------------------------------------------------------------------===
@@ -741,13 +605,13 @@ private:
       if (Durable->options().PrimeFlatOnRecover)
         primeFlatFromCurrent();
     }
-    // Replay the WAL suffix through the normal pipeline (Recovering
+    // Replay the WAL suffix through the one ingest path (Recovering
     // gates the WAL re-append); the digests it records keep the primed
     // flat cache refreshable.
     Recovering = true;
     for (const WalReplayRecord &RR : R.Replay) {
-      uint64_t Seq = applyBatch(RR.Edges.data(), RR.Edges.size(),
-                                RR.Kind == WalKind::InsertBatch);
+      uint64_t Seq = ingest(RR.Edges.data(), RR.Edges.size(),
+                            RR.Kind == WalKind::InsertBatch);
       (void)Seq;
       assert(Seq == RR.Seq && "replay must reproduce the batch sequence");
     }
@@ -865,7 +729,7 @@ private:
   /// Group shard \p Sh's sub-span by source, building one (global id,
   /// sorted edge set) pair per distinct source into \p Pairs. \p Sub is
   /// mutable scratch. Depends only on the batch, never on the base epoch
-  /// — this is the phase the pipeline runs before any lock.
+  /// — this is why ingest() runs it before taking any lock.
   ///
   /// The grouping is a counting sort over local ids, O(K + M) for a batch
   /// of K edges whose largest local source id is M - 1. A batch far
@@ -960,59 +824,51 @@ private:
     }
   }
 
-  /// One-batch-at-a-time ingest with the group/sort phase under the
-  /// shard locks — the pre-pipelining path, retained for recovery
-  /// replay (batch-per-epoch reproduction) and as the serving
-  /// benchmark's serialized A/B baseline.
-  uint64_t applyBatch(const EdgePair *Edges, size_t K, bool Insert) {
+  /// The one ingest path (file comment, steps 1-4): split and group with
+  /// no lock held, lock the touched shards in ascending order, then merge
+  /// and install. Publishes one epoch advancing BatchSeq by one and
+  /// returns its sequence number.
+  uint64_t ingest(const EdgePair *Edges, size_t K, bool Insert) {
     size_t S = numShards();
-    // Split: partition the batch by owning shard into scratch.
-    CtxArray<EdgePair> Parts(K);
-    EdgePair *PartsP = Parts.data();
-    CtxArray<size_t> ShardLo(S + 1);
-    size_t *ShardLoP = ShardLo.data();
-    splitByShard(Edges, K, PartsP, ShardLoP);
-
-    // Lock touched shards in ascending order, then group + merge under
-    // the locks (one writer per shard; disjoint-shard batches overlap).
+    // Sized at construction: optional<GroupedBatchT> is not movable, so
+    // the vector must never reallocate.
+    std::vector<std::optional<GroupedBatchT<EdgeSet>>> Groups(S);
+    std::vector<std::vector<VertexId>> Touched(S);
     CtxArray<uint8_t> TouchedSh(S);
     uint8_t *TouchedShP = TouchedSh.data();
-    for (size_t Sh = 0; Sh < S; ++Sh)
-      TouchedShP[Sh] = ShardLoP[Sh + 1] > ShardLoP[Sh];
+    {
+      // The split scratch returns to the per-worker cache before the
+      // merge, whose chunk-op scratch must not contend with it.
+      CtxArray<EdgePair> Parts(K);
+      EdgePair *PartsP = Parts.data();
+      CtxArray<size_t> ShardLo(S + 1);
+      size_t *ShardLoP = ShardLo.data();
+      splitByShard(Edges, K, PartsP, ShardLoP);
+      parallelFor(0, S, [&](size_t Sh) {
+        size_t Lo = ShardLoP[Sh], Hi = ShardLoP[Sh + 1];
+        TouchedShP[Sh] = Hi > Lo;
+        if (Hi > Lo)
+          groupShard(Sh, PartsP + Lo, Hi - Lo, Groups[Sh], &Touched[Sh]);
+      }, 1);
+    }
     for (size_t Sh = 0; Sh < S; ++Sh)
       if (TouchedShP[Sh])
         ShardLocks[Sh].lock();
-    std::vector<std::optional<GroupedBatchT<EdgeSet>>> Groups(S);
-    std::vector<std::vector<VertexId>> Touched(S);
-    parallelFor(0, S, [&](size_t Sh) {
-      size_t Lo = ShardLoP[Sh], Hi = ShardLoP[Sh + 1];
-      if (Hi > Lo)
-        groupShard(Sh, PartsP + Lo, Hi - Lo, Groups[Sh], &Touched[Sh]);
-    }, 1);
-    EdgeSpan Span{Edges, K};
-    return mergeInstall(Groups, Touched, TouchedShP, &Span, 1, Insert);
+    return mergeInstall(Groups, Touched, TouchedShP, Edges, K, Insert);
   }
 
-  uint64_t applySerialized(const EdgeSpan *Spans, size_t N, bool Insert) {
-    uint64_t Seq = batchSeq();
-    for (size_t I = 0; I < N; ++I)
-      Seq = applyBatch(Spans[I].Data, Spans[I].Size, Insert);
-    return Seq;
-  }
-
-  /// Shared merge + install tail. Preconditions: the shards flagged in
-  /// \p TouchedShP are locked (ascending), \p Groups/\p Touched hold
-  /// their prepared groups and digests, and \p Spans are the \p NumSpans
-  /// original batches the groups coalesce (WAL payloads, one record
-  /// each). Publishes ONE epoch advancing BatchSeq by \p NumSpans and
-  /// returns the last batch's sequence number.
+  /// Merge + install tail of ingest(). Preconditions: the shards flagged
+  /// in \p TouchedShP are locked (ascending) and \p Groups/\p Touched hold
+  /// their groups and digests; \p Edges/\p K is the original batch (the
+  /// WAL payload). Publishes ONE epoch advancing BatchSeq by one, unlocks
+  /// the shards and returns the new sequence number.
   uint64_t
   mergeInstall(std::vector<std::optional<GroupedBatchT<EdgeSet>>> &Groups,
                std::vector<std::vector<VertexId>> &Touched,
-               const uint8_t *TouchedShP, const EdgeSpan *Spans,
-               size_t NumSpans, bool Insert) {
+               const uint8_t *TouchedShP, const EdgePair *Edges, size_t K,
+               bool Insert) {
     size_t S = numShards();
-    // --- Merge: per-shard functional merges of the prepared groups, in
+    // --- Merge: per-shard functional merges of the grouped batch, in
     // parallel (one writer per shard; concurrent batches on disjoint
     // shards overlap fully). ---
     using PerShard = typename std::aligned_storage<sizeof(Snapshot),
@@ -1052,30 +908,23 @@ private:
       for (size_t Sh = 0; Sh < S; ++Sh)
         if (TouchedShP[Sh])
           Next.Shards[Sh] = std::move(Merged[Sh]);
-      uint64_t Prev = Latest.epoch().BatchSeq;
-      Next.BatchSeq = Prev + NumSpans;
+      Next.BatchSeq = Latest.epoch().BatchSeq + 1;
       finalizeAggregates(Next, Latest.epoch().Universe);
       Seq = Next.BatchSeq;
-      // WAL appends under the commit lock: file order = install order,
-      // one record per coalesced batch carrying its original (unsorted,
-      // unsplit) edges, so replay — which runs batch-per-epoch —
-      // reproduces every acknowledged sequence number exactly. The
-      // group commit itself happens after the locks are released.
+      // WAL append under the commit lock: file order = install order,
+      // one record carrying the batch's original (unsorted, unsplit)
+      // edges, so replay reproduces every acknowledged sequence number
+      // exactly. The group commit itself happens after the locks are
+      // released.
       if (Durable && !Recovering)
-        for (size_t I = 0; I < NumSpans; ++I)
-          Tk = Durable->append(Insert ? WalKind::InsertBatch
-                                      : WalKind::DeleteBatch,
-                               Prev + I + 1, Spans[I].Data, Spans[I].Size);
+        Tk = Durable->append(Insert ? WalKind::InsertBatch
+                                    : WalKind::DeleteBatch,
+                             Seq, Edges, K);
       uint64_t DigestCap =
           uint64_t(Next.Universe) / FlatRefreshDenominator;
       Versions.set(std::move(Next));
-      // Sparse per-shard digest (touched shards only). The digest log
-      // is keyed by contiguous BatchSeq stamps, so a coalesced install
-      // records EMPTY digests at the intermediate sequence numbers
-      // (never published as epochs — no reader replays a span ending
-      // on one) and the union digest at the final one: any replay span
-      // crossing the group sees exactly its touched set. A digest above
-      // the refresh threshold guarantees any span containing it
+      // Sparse per-shard digest (touched shards only). A digest above
+      // the refresh threshold guarantees any replay span containing it
       // rebuilds; clearing skips the pointless replay on readers.
       ShardDigest Digest;
       uint64_t Total = 0;
@@ -1084,13 +933,10 @@ private:
           Total += Touched[Sh].size();
           Digest.emplace_back(uint32_t(Sh), std::move(Touched[Sh]));
         }
-      if (Total <= DigestCap) {
-        for (size_t I = 1; I < NumSpans; ++I)
-          Digests.record(Prev + I, ShardDigest{});
+      if (Total <= DigestCap)
         Digests.record(Seq, std::move(Digest));
-      } else {
+      else
         Digests.clear();
-      }
       PublishedSeqV.store(Seq, std::memory_order_release);
     } catch (...) {
       // A poisoned WAL (or an injected crash) must not strand the shard
@@ -1112,7 +958,7 @@ private:
     Base.reset();
     Latest.reset();
     if (Tk.Log) {
-      Durable->sync(Tk); // acknowledged == durable (all coalesced seqs)
+      Durable->sync(Tk); // acknowledged == durable
       checkpointIfDue(Seq);
     }
     return Seq;
@@ -1157,8 +1003,6 @@ private:
   // Lock-free mirror of the published epoch's BatchSeq (stored under
   // CommitM, read by batchSeq() and the acquireFlat fast path).
   std::atomic<uint64_t> PublishedSeqV{0};
-  // Pipelined prepare phase on/off (serving benchmark A/B knob).
-  std::atomic<bool> PipelinedV{true};
 
   // Incremental-checkpoint state (guarded by CkptStateM): the epoch of
   // the last written checkpoint, pinned so shard-root pointer identity

@@ -28,6 +28,7 @@
 
 #include "util/failpoint.h"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -167,8 +168,10 @@ makePipeTransportPair() {
           std::make_unique<FdTransport>(Fds[1])};
 }
 
-/// Listening unix-domain stream socket. accept() blocks; closing the
-/// listener (destructor or stop()) unblocks it with a TransportError.
+/// Listening unix-domain stream socket. accept() blocks; stop() unblocks
+/// it with a TransportError. The descriptor is closed only by the
+/// destructor, which the owner runs once no thread is left in accept(),
+/// so accept() never runs on a closed (or reused) descriptor number.
 class UnixSocketListener {
 public:
   explicit UnixSocketListener(std::string Path) : Path(std::move(Path)) {
@@ -195,7 +198,10 @@ public:
 
   UnixSocketListener(const UnixSocketListener &) = delete;
   UnixSocketListener &operator=(const UnixSocketListener &) = delete;
-  ~UnixSocketListener() { stop(); }
+  ~UnixSocketListener() {
+    stop();
+    ::close(Fd);
+  }
 
   std::unique_ptr<ByteTransport> accept() {
     int C = ::accept(Fd, nullptr, nullptr);
@@ -205,13 +211,12 @@ public:
     return std::make_unique<FdTransport>(C);
   }
 
-  /// Close the listening socket (unblocks accept()) and remove the
-  /// filesystem name. Idempotent.
+  /// Shut the listening socket down (unblocks accept(), now and later)
+  /// and remove the filesystem name. Leaves Fd untouched, so it is safe
+  /// while another thread is inside accept(). Idempotent.
   void stop() {
-    if (Fd >= 0) {
+    if (!Stopped.exchange(true)) {
       ::shutdown(Fd, SHUT_RDWR);
-      ::close(Fd);
-      Fd = -1;
       (void)::unlink(Path.c_str());
     }
   }
@@ -221,6 +226,7 @@ public:
 private:
   std::string Path;
   int Fd = -1;
+  std::atomic<bool> Stopped{false};
 };
 
 inline std::unique_ptr<ByteTransport>

@@ -530,7 +530,7 @@ TEST(Concurrency, ServingSessionsVersusIngestStress) {
   // The full serving stack under TSan: external tenants flood the
   // admission queue with queries (leased sessions, pinned tree + flat
   // epochs, lock-free acquireFlat fast path) while others stream write
-  // batches through the coalescing ingest front. Every pinned epoch must
+  // batches that workers apply to the store. Every pinned epoch must
   // stay self-consistent; shedding is the only allowed failure mode.
   const VertexId N = 1 << 10;
   auto Fixed = dedupEdges(symmetrize(uniformRandomEdges(N, 3000, 17)));

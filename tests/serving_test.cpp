@@ -1,11 +1,10 @@
-//===- tests/serving_test.cpp - Serving layer: coalescing + admission -----===//
+//===- tests/serving_test.cpp - Serving layer: ingest + admission ---------===//
 //
 // The multi-tenant serving subsystem (src/serve/, DESIGN.md Section 8):
 //
-//  - Coalesced/pipelined ingest is BYTE-IDENTICAL to one-at-a-time
-//    serialized ingest (chunk-level: checkpoint serialization memcmp),
-//    including through the concurrent IngestFrontT and across a durable
-//    close/reopen with per-batch WAL records inside coalesced installs.
+//  - Concurrent writers on one hot shard, calling the store directly,
+//    end BYTE-IDENTICAL to sequential ingest (chunk-level: checkpoint
+//    serialization compared).
 //  - AdmissionQueueT: queue-full rejection, FIFO within a class,
 //    weighted-fair scheduling under saturation, work conservation.
 //  - SessionPool: lease/return, exhaustion, warm reuse.
@@ -25,11 +24,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
-#include <dirent.h>
 #include <future>
 #include <thread>
-#include <unistd.h>
 
 using namespace aspen;
 
@@ -39,8 +35,9 @@ std::vector<EdgePair> randomBatch(VertexId N, size_t K, uint64_t Seed) {
   return dedupEdges(symmetrize(uniformRandomEdges(N, K, Seed)));
 }
 
-/// A batch whose sources all hash to shard 0 of an S-shard store — the
-/// hot-shard writer stream the coalescing front exists for.
+/// A batch whose sources all hash to shard 0 of an S-shard store — a
+/// hot-shard writer stream, where concurrent writers contend on one
+/// shard lock.
 std::vector<EdgePair> oneShardBatch(VertexId N, size_t Shards, size_t K,
                                     uint64_t Seed) {
   std::vector<EdgePair> Out;
@@ -71,101 +68,13 @@ std::vector<std::vector<uint8_t>> storeBytes(Store &S) {
   return Out;
 }
 
-struct TempDir {
-  std::string P;
-  TempDir() {
-    char Buf[] = "/tmp/aspen-serve-XXXXXX";
-    const char *R = ::mkdtemp(Buf);
-    EXPECT_NE(R, nullptr);
-    P = Buf;
-  }
-  ~TempDir() {
-    if (DIR *D = ::opendir(P.c_str())) {
-      while (struct dirent *E = ::readdir(D)) {
-        std::string N = E->d_name;
-        if (N != "." && N != "..")
-          (void)::unlink((P + "/" + N).c_str());
-      }
-      ::closedir(D);
-      (void)::rmdir(P.c_str());
-    }
-  }
-};
-
 } // namespace
 
 //===----------------------------------------------------------------------===
-// Coalescing byte identity.
+// Concurrent same-shard ingest byte identity.
 //===----------------------------------------------------------------------===
 
-TEST(ServeCoalesce, ApplySpansMatchesOneAtATime) {
-  const VertexId N = 1 << 10;
-  const size_t Shards = 4;
-  // A mixed schedule: runs of inserts and deletes. Coalescing may only
-  // merge same-kind runs, so the grouped store splits each run into
-  // spans of up to 3 batches.
-  std::vector<std::pair<bool, std::vector<EdgePair>>> Sched;
-  for (int I = 0; I < 5; ++I)
-    Sched.push_back({true, randomBatch(N, 700, 100 + I)});
-  Sched.push_back({false, Sched[1].second}); // delete a prior batch
-  Sched.push_back({false, randomBatch(N, 400, 200)}); // partly absent
-  for (int I = 0; I < 4; ++I)
-    Sched.push_back({true, randomBatch(N, 500, 300 + I)});
-  Sched.push_back({false, randomBatch(N, 300, 400)});
-
-  ShardedGraphStore Serial(Shards, N), Grouped(Shards, N);
-  Serial.setPipelinedIngest(false); // group/sort under the shard locks
-  for (auto &B : Sched)
-    B.first ? Serial.insertBatch(B.second) : Serial.deleteBatch(B.second);
-
-  for (size_t I = 0; I < Sched.size();) {
-    size_t J = I;
-    while (J < Sched.size() && Sched[J].first == Sched[I].first &&
-           J - I < 3)
-      ++J;
-    std::vector<EdgeSpan> Spans;
-    for (size_t K = I; K < J; ++K)
-      Spans.push_back({Sched[K].second.data(), Sched[K].second.size()});
-    Grouped.applySpans(Spans.data(), Spans.size(), Sched[I].first);
-    I = J;
-  }
-
-  EXPECT_EQ(Serial.batchSeq(), Sched.size());
-  EXPECT_EQ(Grouped.batchSeq(), Sched.size());
-  auto A = storeBytes(Serial), B = storeBytes(Grouped);
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t Sh = 0; Sh < A.size(); ++Sh) {
-    ASSERT_EQ(A[Sh].size(), B[Sh].size()) << "shard " << Sh;
-    EXPECT_EQ(std::memcmp(A[Sh].data(), B[Sh].data(), A[Sh].size()), 0)
-        << "shard " << Sh;
-  }
-}
-
-TEST(ServeCoalesce, PrepareCommitSplitMatchesDirectApply) {
-  const VertexId N = 1 << 9;
-  ShardedGraphStore A(4, N), B(4, N);
-  auto B1 = oneShardBatch(N, 4, 400, 1);
-  auto B2 = oneShardBatch(N, 4, 400, 2);
-  auto B3 = oneShardBatch(N, 4, 300, 3);
-  A.insertBatch(B1);
-  A.insertBatch(B2);
-  A.insertBatch(B3);
-
-  // Pipelined split: prepare the second group while nothing holds the
-  // locks, then commit both in order.
-  std::vector<EdgeSpan> G1{{B1.data(), B1.size()}, {B2.data(), B2.size()}};
-  auto P1 = B.prepareSpans(G1.data(), G1.size(), true);
-  std::vector<EdgeSpan> G2{{B3.data(), B3.size()}};
-  auto P2 = B.prepareSpans(G2.data(), G2.size(), true);
-  EXPECT_EQ(B.commitPrepared(std::move(P1)), 2u);
-  EXPECT_EQ(B.commitPrepared(std::move(P2)), 3u);
-
-  auto BA = storeBytes(A), BB = storeBytes(B);
-  for (size_t Sh = 0; Sh < BA.size(); ++Sh)
-    EXPECT_EQ(BA[Sh], BB[Sh]) << "shard " << Sh;
-}
-
-TEST(ServeCoalesce, IngestFrontConcurrentInsertIdentity) {
+TEST(ServeIngest, ConcurrentHotShardInsertIdentity) {
   const VertexId N = 1 << 10;
   const size_t Shards = 4, Writers = 4, PerWriter = 12;
   // Insert-only workload: set union is order-independent, so the final
@@ -180,12 +89,11 @@ TEST(ServeCoalesce, IngestFrontConcurrentInsertIdentity) {
     Ref.insertBatch(B);
 
   ShardedGraphStore S(Shards, N);
-  IngestFrontT<ShardedGraphStore> Front(S, /*MaxCoalesce=*/8);
   std::vector<std::thread> Ts;
   for (size_t W = 0; W < Writers; ++W)
     Ts.emplace_back([&, W] {
       for (size_t I = 0; I < PerWriter; ++I) {
-        uint64_t Seq = Front.insertBatch(Batches[W * PerWriter + I]);
+        uint64_t Seq = S.insertBatch(Batches[W * PerWriter + I]);
         EXPECT_GE(Seq, 1u);
         EXPECT_LE(Seq, Batches.size());
       }
@@ -194,66 +102,9 @@ TEST(ServeCoalesce, IngestFrontConcurrentInsertIdentity) {
     T.join();
 
   EXPECT_EQ(S.batchSeq(), Batches.size());
-  auto St = Front.stats();
-  EXPECT_EQ(St.Submitted, Batches.size());
-  EXPECT_LE(St.Installs, St.Submitted);
-  EXPECT_GE(St.MaxGroup, 1u);
-
   auto A = storeBytes(Ref), B = storeBytes(S);
   for (size_t Sh = 0; Sh < A.size(); ++Sh)
     EXPECT_EQ(A[Sh], B[Sh]) << "shard " << Sh;
-}
-
-TEST(ServeCoalesce, IngestFrontMixedKindsKeepFIFO) {
-  const VertexId N = 512;
-  ShardedGraphStore S(2, N), Ref(2, N);
-  IngestFrontT<ShardedGraphStore> Front(S);
-  auto B1 = randomBatch(N, 800, 1);
-  auto B2 = randomBatch(N, 500, 2);
-  EXPECT_EQ(Front.insertBatch(B1), 1u);
-  EXPECT_EQ(Front.insertBatch(B2), 2u);
-  EXPECT_EQ(Front.deleteBatch(B1), 3u);
-  EXPECT_EQ(Front.insertBatch(B1), 4u);
-  Ref.insertBatch(B1);
-  Ref.insertBatch(B2);
-  Ref.deleteBatch(B1);
-  Ref.insertBatch(B1);
-  auto A = storeBytes(Ref), B = storeBytes(S);
-  for (size_t Sh = 0; Sh < A.size(); ++Sh)
-    EXPECT_EQ(A[Sh], B[Sh]) << "shard " << Sh;
-}
-
-TEST(ServeCoalesce, DurableCoalescedInstallReplays) {
-  const VertexId N = 512;
-  TempDir D;
-  DurabilityOptions O;
-  O.Dir = D.P;
-  O.FsyncOnCommit = false;
-  auto B1 = randomBatch(N, 600, 11);
-  auto B2 = randomBatch(N, 400, 12);
-  auto B3 = randomBatch(N, 300, 13);
-  std::vector<std::vector<uint8_t>> Before;
-  {
-    ShardedGraphStore S(O, 4, N);
-    // One coalesced install of three batches: three WAL records, one
-    // epoch, BatchSeq 3.
-    std::vector<EdgeSpan> G{{B1.data(), B1.size()},
-                            {B2.data(), B2.size()},
-                            {B3.data(), B3.size()}};
-    EXPECT_EQ(S.applySpans(G.data(), G.size(), true), 3u);
-    EXPECT_EQ(S.batchSeq(), 3u);
-    Before = storeBytes(S);
-  }
-  {
-    // Recovery replays the WAL batch-per-epoch; the acknowledged state
-    // must come back byte-identical with the same sequence number.
-    ShardedGraphStore S(O, 4, N);
-    EXPECT_EQ(S.batchSeq(), 3u);
-    auto After = storeBytes(S);
-    ASSERT_EQ(Before.size(), After.size());
-    for (size_t Sh = 0; Sh < Before.size(); ++Sh)
-      EXPECT_EQ(Before[Sh], After[Sh]) << "shard " << Sh;
-  }
 }
 
 //===----------------------------------------------------------------------===
@@ -408,7 +259,6 @@ TEST(ServeServer, QueriesUnderConcurrentIngest) {
   EXPECT_EQ(St.WritesDone, Writes);
   EXPECT_EQ(St.QueryErrors, 0u);
   EXPECT_EQ(St.WriteErrors, 0u);
-  EXPECT_EQ(St.Front.Submitted, Writes);
   EXPECT_EQ(Store.batchSeq(), Writes);
   Server.stop();
 }
